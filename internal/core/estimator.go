@@ -19,8 +19,9 @@ type NeighborReport = predict.Report
 // one.
 func ScalarVelocity(speed float64) geom.Vec2 { return predict.SpeedOnly(speed) }
 
-// reportFromResponse converts a wire response into a stored report.
-func reportFromResponse(from radio.NodeID, r Response, now float64) NeighborReport {
+// ReportFromResponse converts a RESPONSE from a neighbour into the report
+// its receiver stores.
+func ReportFromResponse(from radio.NodeID, r Response, now float64) NeighborReport {
 	return NeighborReport{
 		ID:               from,
 		Pos:              r.Pos,

@@ -21,8 +21,9 @@ type EstimatorConfig struct {
 }
 
 // Input is one prediction refresh request from the agent: its position, the
-// current time, and the neighbour-report snapshot. The Reports slice is
-// only read during the call, so the agent may reuse its scratch buffer.
+// current time, and its neighbour reports in ascending ID order. The Reports
+// slice is only read during the call, so the agent passes its Table's
+// storage without copying it.
 type Input struct {
 	Pos     geom.Vec2
 	Now     float64

@@ -131,7 +131,12 @@ func ArrivalETA(x geom.Vec2, now float64, r Report) float64 {
 	dist := ix.Norm()
 	var travel float64
 	if r.HasDirection {
-		cos := r.Velocity.CosBetween(ix)
+		// cos θ exactly as geom.Vec2.CosBetween forms and clamps it, reusing
+		// the two norms above instead of recomputing them (speed is nonzero).
+		cos := 0.0
+		if dist != 0 {
+			cos = max(-1, min(1, r.Velocity.Dot(ix)/(speed*dist)))
+		}
 		if dist > 0 && cos <= 0 {
 			return math.Inf(1)
 		}

@@ -359,3 +359,39 @@ func TestSASZeroStagger(t *testing.T) {
 		t.Error("no synchronous response")
 	}
 }
+
+// TestHandleResponseZeroAllocs pins the SAS receive path: a warm alert agent
+// taking a RESPONSE from an already-known covered neighbour allocates
+// nothing.
+func TestHandleResponseZeroAllocs(t *testing.T) {
+	k, m := sasRig()
+	stim := diffusion.NewRadialFront(geom.V(-1e6, 0), 0.001, 0) // never arrives
+	agent := New(testCfg())
+	n := addSASNode(k, m, 0, geom.V(0, 0), stim, agent)
+	n.Start()
+	envs := make([]radio.Envelope, 8)
+	for i := range envs {
+		envs[i] = core.Response{
+			Pos: geom.V(4+float64(i)/2, 0).Rotate(float64(i) * 0.7), State: node.StateCovered,
+			Velocity: core.ScalarVelocity(1 + float64(i)/8), HasVelocity: true,
+			PredictedArrival: 0, DetectedAt: 0, Detected: true,
+		}.Envelope()
+		agent.OnMessage(n, radio.NodeID(i+1), envs[i])
+	}
+	k.RunUntil(0.5)
+	if n.State() != node.StateAlert || agent.reports.Len() != len(envs) {
+		t.Fatalf("precondition: state %v with %d reports, want alert with %d",
+			n.State(), agent.reports.Len(), len(envs))
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		agent.OnMessage(n, radio.NodeID(i%len(envs)+1), envs[i%len(envs)])
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocs per RESPONSE, want 0", allocs)
+	}
+	if n.State() != node.StateAlert {
+		t.Errorf("state %v after the loop, want alert", n.State())
+	}
+}

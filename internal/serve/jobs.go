@@ -333,7 +333,7 @@ func (s *Server) runJob(j *job) {
 		}
 		j.mu.Unlock()
 	})
-	body, err := computeGuarded(ctx, j.compute)
+	body, err := computeGuarded(ctx, j.key, j.compute)
 	if err != nil {
 		if s.jobCtx.Err() != nil {
 			// Shutdown took the job down, not the job itself: leave the journal

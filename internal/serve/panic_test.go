@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 	"sync"
@@ -148,5 +151,82 @@ func TestRetryAfterEstimate(t *testing.T) {
 	}
 	if got := s2.retryAfterSeconds(); got != 1 {
 		t.Fatalf("fast-path Retry-After = %d, want the 1 s floor", got)
+	}
+}
+
+// logCapture collects slog records as decoded JSON objects.
+type logCapture struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (c *logCapture) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.buf.Write(p)
+}
+
+func (c *logCapture) records(t *testing.T) []map[string]any {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []map[string]any
+	dec := json.NewDecoder(bytes.NewReader(c.buf.Bytes()))
+	for dec.More() {
+		var rec map[string]any
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, rec)
+	}
+	return out
+}
+
+// TestPanicLogsKeyAndStack pins that the panic barrier logs what the 500
+// body leaves out: one slog record per panic with the result key and the
+// panicking goroutine's stack, on the synchronous and the job path alike.
+// The response body keeps its panic code and message.
+func TestPanicLogsKeyAndStack(t *testing.T) {
+	capture := &logCapture{}
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewJSONHandler(capture, nil)))
+	t.Cleanup(func() { slog.SetDefault(prev) })
+
+	_, ts := testServer(t, Config{Workers: 1})
+	req := fmt.Sprintf(`{"scenario":%s,"seed":3}`, infeasiblePoissonSpec(t))
+	resp, body := post(t, ts.URL, "/v1/runs", req)
+	var e errorBody
+	json.Unmarshal(body, &e)
+	if resp.StatusCode != http.StatusInternalServerError || e.Code != CodePanic || !strings.Contains(e.Error, "panicked") {
+		t.Fatalf("panicking run: status %d body %s, want 500 %s", resp.StatusCode, body, CodePanic)
+	}
+	// The job path computes under the key a synchronous request uses, so
+	// both records must name the job's acknowledged key.
+	acc := submitJob(t, ts.URL, req)
+	if st := waitJob(t, ts.URL, acc.ID); st.ErrorCode != CodePanic {
+		t.Fatalf("job settled %s/%s, want failed/panic", st.State, st.ErrorCode)
+	}
+
+	recs := capture.records(t)
+	if len(recs) != 2 {
+		t.Fatalf("got %d log records, want one per panic (2): %v", len(recs), recs)
+	}
+	for i, rec := range recs {
+		if rec["level"] != "ERROR" || rec["msg"] != "simulation panicked" {
+			t.Errorf("record %d: level %v msg %v", i, rec["level"], rec["msg"])
+		}
+		if rec["key"] != acc.Key {
+			t.Errorf("record %d: key %v, want %s", i, rec["key"], acc.Key)
+		}
+		if p, _ := rec["panic"].(string); !strings.Contains(p, "poisson") {
+			t.Errorf("record %d: panic %q should carry the panic value", i, p)
+		}
+		// The stack is the panicking goroutine's: it runs through the
+		// deployment generator that panicked, not just the barrier.
+		stack, _ := rec["stack"].(string)
+		if !strings.Contains(stack, "repro/internal/serve.computeGuarded") ||
+			!strings.Contains(stack, "repro/internal/scenario.DeploymentSpec.Generate") {
+			t.Errorf("record %d: stack lacks the panic frames:\n%s", i, stack)
+		}
 	}
 }

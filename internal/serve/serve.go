@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"path/filepath"
@@ -447,7 +448,7 @@ func (s *Server) deliver(w http.ResponseWriter, r *http.Request, d time.Duration
 			s.cache.put(key, body)
 			return body, nil
 		}
-		body, err := s.admitAndCompute(ctx, compute)
+		body, err := s.admitAndCompute(ctx, key, compute)
 		if err != nil {
 			return nil, err
 		}
@@ -489,7 +490,7 @@ func (s *Server) persist(key string, body []byte) {
 // admitAndCompute applies backpressure around one simulation: a free slot in
 // the bounded admission queue or an immediate errSaturated, then a worker
 // slot (waiting under ctx), then the computation itself.
-func (s *Server) admitAndCompute(ctx context.Context, compute func(ctx context.Context) ([]byte, error)) ([]byte, error) {
+func (s *Server) admitAndCompute(ctx context.Context, key string, compute func(ctx context.Context) ([]byte, error)) ([]byte, error) {
 	select {
 	case s.admit <- struct{}{}:
 	default:
@@ -510,7 +511,7 @@ func (s *Server) admitAndCompute(ctx context.Context, compute func(ctx context.C
 	s.stats.inFlight.Add(1)
 	defer s.stats.inFlight.Add(-1)
 	s.stats.simulations.Add(1)
-	return computeGuarded(ctx, compute)
+	return computeGuarded(ctx, key, compute)
 }
 
 // computeGuarded runs one simulation computation with a panic barrier: a
@@ -519,10 +520,13 @@ func (s *Server) admitAndCompute(ctx context.Context, compute func(ctx context.C
 // becomes a plain 500 on that request instead of killing the daemon — and,
 // because the panic surfaces as an error, the singleflight leader unblocks
 // its followers and nothing wedges. The offending key is never cached, so
-// the panic message stays reproducible.
-func computeGuarded(ctx context.Context, compute func(ctx context.Context) ([]byte, error)) (body []byte, err error) {
+// the panic message stays reproducible. The panic is logged through slog
+// with the result key and the panicking goroutine's stack; the response
+// carries only the message.
+func computeGuarded(ctx context.Context, key string, compute func(ctx context.Context) ([]byte, error)) (body []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
+			slog.Error("simulation panicked", "key", key, "panic", fmt.Sprint(r), "stack", string(debug.Stack()))
 			err = &httpError{status: http.StatusInternalServerError, code: CodePanic,
 				msg: fmt.Sprintf("simulation panicked: %v", r)}
 		}

@@ -273,12 +273,15 @@
 // scale-1m run fits comfortably (~1M nodes, ~30M directed CSR edges against
 // the 2^31 ceilings).
 //
-// BENCH_4.json pins the benchmark baseline (BENCH_1.json through BENCH_3.json
-// are kept as historical points); `go run ./cmd/benchcheck` compares fresh
-// `go test -bench` output against it (CI does this automatically, warning
-// on >20% drift in ns/op or allocs/op — for the zero-alloc baselines any
-// allocation at all warns — and publishes the comparison as machine-readable
-// JSON rows via -json).
+// BENCH_5.json pins the microbenchmark baseline (BENCH_1.json through
+// BENCH_4.json are kept as historical points); `go run ./cmd/benchcheck`
+// compares fresh `go test -bench` output against it (CI does this
+// automatically, warning on >20% drift in ns/op or allocs/op — for the
+// zero-alloc baselines any allocation at all warns — and publishes the
+// comparison as machine-readable JSON rows via -json). The end-to-end
+// benchmark is perfbench/, declared by BENCHMARK.json: `bash perfbench/run.sh
+// --workload scale-10k|sweep|serve` times a large run, a figure sweep and
+// passerve requests from outside (see perfbench/README.md).
 //
 // # Module layout
 //
